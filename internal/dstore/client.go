@@ -432,7 +432,8 @@ type transfer struct {
 	queued   int64      // total unsent payload bytes across queue
 	next     int64      // next stream offset to send
 	acked    int64
-	progress sim.Time // virtual time of last ack progress
+	progress sim.Time  // virtual time of last ack progress
+	stall    sim.Timer // the stall watch; stopped on resolve
 	resolved bool
 	onAck    func() // feeder backpressure hook, fired on ack progress
 	onDone   func(ok bool)
@@ -538,7 +539,7 @@ func (t *transfer) pump() {
 // so far is acked, nothing queued) is waiting on its feeder, not its peer —
 // the operation deadline covers a feeder that never delivers.
 func (t *transfer) watch() {
-	t.c.s.After(t.c.cfg.ReqTimeout, func() {
+	t.stall = t.c.s.After(t.c.cfg.ReqTimeout, func() {
 		if t.resolved {
 			return
 		}
@@ -577,6 +578,7 @@ func (t *transfer) resolve(ok bool) {
 		return
 	}
 	t.resolved = true
+	t.stall.Stop()
 	for i := range t.queue {
 		t.queue[i].f.Release()
 		t.queue[i] = putChunk{}
@@ -611,6 +613,7 @@ type putOp struct {
 	finished   bool
 	done       func(stored int, err error)
 	began      sim.Time
+	deadline   sim.Timer
 	trace      *telemetry.Trace
 }
 
@@ -624,6 +627,7 @@ func (op *putOp) finish(err error) {
 		return
 	}
 	op.finished = true
+	op.deadline.Stop()
 	k := op.c.cfg.Code.K()
 	if err == nil {
 		if op.stored >= k {
@@ -674,8 +678,8 @@ func (op *putOp) start(shardLen, blockLen int64) {
 		op.trace.Event(op.c.nowNS(), "shard_fanout", peer, int64(i))
 		op.transfers[i] = op.c.startTransfer(peer, op.id, i, shardLen, op.dataLen, blockLen, op.resolveOne)
 	}
-	if op.unresolved > 0 {
-		op.c.s.After(op.c.cfg.OpTimeout, func() { op.finish(nil) })
+	if !op.finished {
+		op.deadline = op.c.s.After(op.c.cfg.OpTimeout, func() { op.finish(nil) })
 	}
 }
 
@@ -899,13 +903,14 @@ type shardStream struct {
 	buf       []byte // receive window; unconsumed bytes are buf[off:]
 	off       int    // consumed prefix of buf
 	lastAck   int64
-	progress  sim.Time // virtual time of the last chunk received
-	confirmed bool     // a chunk arrived: peerIdx is the daemon's real index
-	complete  bool     // delivered and fully consumed by the decoder
-	dead      bool     // the daemon answered with an error
-	hedged    bool     // a spare was already issued on this stream's behalf
-	spare     bool     // this stream itself was issued beyond the first k
-	credited  bool     // the stream's bytes have fed a decode (hedge won)
+	progress  sim.Time  // virtual time of the last chunk received
+	stall     sim.Timer // the stall watch; stopped when the op finishes
+	confirmed bool      // a chunk arrived: peerIdx is the daemon's real index
+	complete  bool      // delivered and fully consumed by the decoder
+	dead      bool      // the daemon answered with an error
+	hedged    bool      // a spare was already issued on this stream's behalf
+	spare     bool      // this stream itself was issued beyond the first k
+	credited  bool      // the stream's bytes have fed a decode (hedge won)
 }
 
 // bytes returns the buffered, not-yet-consumed bytes.
@@ -988,6 +993,7 @@ type streamGetOp struct {
 	corrupt    int // dead streams killed by a corruption NAK (subset of deadOther)
 	finished   bool
 	firstK     bool
+	deadline   sim.Timer
 	trace      *telemetry.Trace
 }
 
@@ -1043,9 +1049,11 @@ func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool,
 	op.failIfStuck()
 	// The deadline covers stale liveness views: candidates that never
 	// answer and never error (crashed peers) are only resolved by time.
-	c.s.After(c.cfg.OpTimeout, func() {
-		op.finish(fmt.Errorf("%w: %d of %d blocks decoded (%w)", ErrNotEnoughDaemons, op.nextBlk, op.blocks, ErrTimeout))
-	})
+	if !op.finished {
+		op.deadline = c.s.After(c.cfg.OpTimeout, func() {
+			op.finish(fmt.Errorf("%w: %d of %d blocks decoded (%w)", ErrNotEnoughDaemons, op.nextBlk, op.blocks, ErrTimeout))
+		})
+	}
 	return op
 }
 
@@ -1139,7 +1147,7 @@ func (op *streamGetOp) issueNext() {
 // alone), and at most once per stream. The stalled request itself stays
 // outstanding in case its chunks straggle in later.
 func (op *streamGetOp) watch(st *shardStream) {
-	op.c.s.After(op.c.cfg.ReqTimeout, func() {
+	st.stall = op.c.s.After(op.c.cfg.ReqTimeout, func() {
 		if op.finished || st.complete || st.dead || st.hedged {
 			return
 		}
@@ -1438,10 +1446,13 @@ func (op *streamGetOp) finish(err error) {
 		return
 	}
 	op.finished = true
+	// Release the timers so nothing they captured outlives the operation.
+	op.deadline.Stop()
 	// Unregister every stream and cancel leftover daemon sessions: spares
 	// the retrieve outran would otherwise idle server-side until the orphan
 	// sweep.
 	for _, st := range op.streams {
+		st.stall.Stop()
 		delete(op.c.pending, st.req)
 		if !st.dead && !st.complete {
 			op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
@@ -1644,6 +1655,7 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 	transferDone := false
 	var opErr error
 	var finished bool
+	var deadline sim.Timer
 	began := c.s.Now()
 	tr := c.trace("rebuild", info.ID)
 	c.met.bytesInFlight.Add(meta.shardLen)
@@ -1652,6 +1664,7 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 			return
 		}
 		finished = true
+		deadline.Stop()
 		c.met.bytesInFlight.Add(-meta.shardLen)
 		if err == nil {
 			c.met.shardsRebuilt.Inc()
@@ -1698,10 +1711,10 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 	// The outgoing transfer only stall-fails with bytes in flight; a target
 	// that never acks an idle transfer (or a feeder pipeline that wedges) is
 	// resolved by the operation deadline.
-	c.s.After(c.cfg.OpTimeout, func() {
-		if finished {
-			return
-		}
+	if finished {
+		return
+	}
+	deadline = c.s.After(c.cfg.OpTimeout, func() {
 		if opErr == nil {
 			opErr = fmt.Errorf("%w: rebuild transfer (%w)", ErrNotEnoughDaemons, ErrTimeout)
 		}

@@ -16,7 +16,9 @@ import (
 // reports whether the window still has room so the producer can pause
 // (OnRoom signals when to resume). Backpressure is the same as the pull
 // path: no block is encoded while a live transfer's backlog is above the
-// credit window, so memory stays O(BlockSize × n).
+// credit window, so memory stays O(BlockSize × n). The feed's own buffer is
+// one fixed allocation of at most two blocks: a producer offers while less
+// than a block is buffered, so one offer of up to a block always fits.
 //
 // All methods must run on the client's scheduler goroutine; real nodes post
 // them through their loop.
@@ -24,8 +26,8 @@ type PutFeed struct {
 	c         *Client
 	op        *putOp
 	enc       *ecc.StreamEncoder
-	pipe      []byte // offered, not-yet-encoded bytes; consumed prefix is pipe[off:]
-	off       int
+	pipe      []byte // offered, not-yet-encoded bytes are pipe[off:end]
+	off, end  int
 	dataLen   int64
 	offered   int64
 	blocks    int64
@@ -43,15 +45,32 @@ type feedReader struct{ f *PutFeed }
 
 func (r feedReader) Read(p []byte) (int, error) {
 	f := r.f
-	if f.off == len(f.pipe) {
+	if f.off == f.end {
 		return 0, io.EOF
 	}
-	n := copy(p, f.pipe[f.off:])
+	n := copy(p, f.pipe[f.off:f.end])
 	f.off += n
-	if f.off == len(f.pipe) {
-		f.pipe, f.off = f.pipe[:0], 0
+	if f.off == f.end {
+		f.off, f.end = 0, 0
 	}
 	return n, nil
+}
+
+// buffer copies p in behind the unread bytes, first moving them to the
+// front of the pipe if p would not fit after them. Only an offer larger
+// than a block, or one made after Offer returned false, can overflow two
+// blocks; the pipe then grows to hold what it was given.
+func (f *PutFeed) buffer(p []byte) {
+	if f.end+len(p) > len(f.pipe) {
+		f.end = copy(f.pipe, f.pipe[f.off:f.end])
+		f.off = 0
+		if need := f.end + len(p); need > len(f.pipe) {
+			grown := make([]byte, need)
+			copy(grown, f.pipe[:f.end])
+			f.pipe = grown
+		}
+	}
+	f.end += copy(f.pipe[f.end:], p)
 }
 
 // NewPutFeed opens a push-mode streaming put of exactly dataLen bytes. done
@@ -64,6 +83,7 @@ func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err 
 	blockSize := c.cfg.BlockSize
 	f := &PutFeed{
 		c:         c,
+		pipe:      make([]byte, min(2*int64(blockSize), dataLen)),
 		dataLen:   dataLen,
 		blocks:    ecc.StreamBlocks(dataLen, blockSize),
 		highWater: int64(c.cfg.Window) * int64(c.cfg.ChunkSize),
@@ -86,7 +106,7 @@ func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err 
 // room reports whether the producer should keep offering: the next block is
 // not yet fully buffered, so more bytes are needed before anything can move.
 func (f *PutFeed) room() bool {
-	return len(f.pipe)-f.off < f.c.cfg.BlockSize
+	return f.end-f.off < f.c.cfg.BlockSize
 }
 
 // pump encodes and fans out as many fully-buffered blocks as the transfers'
@@ -96,7 +116,7 @@ func (f *PutFeed) pump() {
 	op := f.op
 	for !op.finished && f.nextBlk < f.blocks {
 		need := ecc.StreamBlockLen(f.dataLen, f.c.cfg.BlockSize, f.nextBlk)
-		if len(f.pipe)-f.off < need {
+		if f.end-f.off < need {
 			break
 		}
 		stalled := false
@@ -144,7 +164,7 @@ func (f *PutFeed) Offer(p []byte) bool {
 		return true
 	}
 	f.offered += int64(len(p))
-	f.pipe = append(f.pipe, p...)
+	f.buffer(p)
 	f.pump()
 	return f.op.finished || f.room()
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"rain/internal/placement"
+	"rain/internal/sim"
 	"rain/internal/storage"
 )
 
@@ -343,12 +344,14 @@ func sortedIDs(entries map[string]*invEntry) []string {
 func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.ObjectInfo, done func(error)) {
 	shardLen := int64(info.ShardLen)
 	finished := false
+	var deadline sim.Timer
 	c.met.bytesInFlight.Add(shardLen)
 	finish := func(err error) {
 		if finished {
 			return
 		}
 		finished = true
+		deadline.Stop()
 		c.met.bytesInFlight.Add(-shardLen)
 		if err == nil {
 			c.met.shardsCopied.Inc()
@@ -409,10 +412,10 @@ func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.Objec
 		maybeAck()
 	}
 	c.send(src, Msg{Kind: KindGetReq, Req: inReq, ID: id, Off: 0, Win: int32(c.cfg.Window)})
-	c.s.After(c.cfg.OpTimeout, func() {
-		if finished {
-			return
-		}
+	if finished {
+		return
+	}
+	deadline = c.s.After(c.cfg.OpTimeout, func() {
 		delete(c.pending, inReq)
 		finish(fmt.Errorf("dstore: copy %s from %s: %w", id, src, ErrTimeout))
 		out.resolve(false)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rain/internal/netbuf"
+	"rain/internal/rt"
 	"rain/internal/telemetry"
 )
 
@@ -83,4 +84,37 @@ func TestConnSendReceiveAllocs(t *testing.T) {
 		}
 	}
 	t.Fatal("rtt histogram family missing")
+}
+
+// TestRealMeshReceiveAllocs pins the real mesh's per-datagram receive step
+// on the loop: the source-address peer lookup (keyed by netip.AddrPort, not
+// a formatted string) and Conn.OnWire for an ack allocate nothing.
+func TestRealMeshReceiveAllocs(t *testing.T) {
+	loop := rt.New(3)
+	loop.Start()
+	defer loop.Stop()
+	m, err := NewRealMesh(loop, RealConfig{
+		Name:   "a",
+		Locals: []string{"127.0.0.1:0"},
+		Peers:  map[string][]string{"b": {"127.0.0.1:9"}}, // discard port: never answers
+		Conn:   Config{Telemetry: telemetry.NewRegistry()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// Measure on the loop goroutine, so no tick runs (and allocates)
+	// concurrently.
+	var allocs float64
+	loop.Call(func() {
+		p := m.peers["b"]
+		p.peerInc = 1 // as if handshaken
+		p.conn = m.newPeerConn(p)
+		src := unmapped(p.addrs[0].AddrPort())
+		ack := Wire{Kind: KindAck, Ack: 0, Seq: 1}
+		allocs = testing.AllocsPerRun(1000, func() { m.onDatagram(0, src, ack) })
+	})
+	if allocs != 0 {
+		t.Fatalf("real-mesh receive allocated %.2f per datagram, want 0", allocs)
+	}
 }

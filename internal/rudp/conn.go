@@ -64,8 +64,8 @@ type Stats struct {
 
 // ackEvery bounds receive-side ack coalescing: one cumulative ack per this
 // many in-order data arrivals on the fast path, with any residue flushed by
-// the next Tick (well inside the sender's RTO) and gaps, duplicates and
-// window-edge arrivals acked immediately.
+// the next Tick (well inside the sender's RTO) and gaps, gap fills,
+// duplicates and window-edge arrivals acked immediately.
 const ackEvery = 4
 
 type pending struct {
@@ -73,9 +73,18 @@ type pending struct {
 	payload  []byte        // the application datagram (service-framed bytes)
 	frame    *netbuf.Frame // owns payload (and the pushed wire header); one queue ref
 	lastSent int64
+	xmit     uint64 // send-order stamp of the latest transmission
 	lastPath int
 	sent     bool
 	resent   bool // retransmitted at least once: its ack is no RTT sample
+}
+
+// rackState is one path's delivery evidence for loss detection: the latest
+// transmission (by send-order stamp) on the path that a gap ack proved
+// delivered, and that datagram's round-trip time.
+type rackState struct {
+	xmit uint64
+	rtt  int64
 }
 
 // recvSlot is one buffered out-of-order datagram; the slot holds a frame
@@ -115,6 +124,14 @@ type Conn struct {
 	// pfree recycles pending records freed by acks so the steady-state send
 	// path allocates nothing.
 	pfree []*pending
+
+	// Time-based loss detection (RACK, RFC 8985), kept per path: xmits
+	// stamps every data transmission in send order, rack holds each path's
+	// delivery evidence, and minRTT (0 until the first sample) sizes the
+	// reorder window.
+	xmits  uint64
+	rack   []rackState
+	minRTT int64
 
 	stats connCounters
 	met   *connMetrics
@@ -157,6 +174,7 @@ func newConn(cfg Config, scope *telemetry.Scope, transmit func(path int, w Wire)
 		deliver:  deliver,
 		monitors: make([]*linkstate.Monitor, cfg.Paths),
 		lastPing: make([]int64, cfg.Paths),
+		rack:     make([]rackState, cfg.Paths),
 		nextSeq:  1,
 		sendBase: 1,
 		recvNext: 1,
@@ -274,17 +292,45 @@ func (c *Conn) pump(now int64) {
 			break
 		}
 		p.sent = true
-		p.lastSent = now
-		p.lastPath = path
 		c.stats.sent.Add(1)
-		c.stats.perPathData[path].Add(1)
 		c.met.sent.Inc()
-		c.transmit(path, Wire{Kind: KindData, Seq: p.seq, Payload: p.payload, Frame: p.frame})
+		c.transmitData(p, path, now)
 	}
 }
 
-// Tick drives timers: per-path pings and retransmission of datagrams older
-// than the RTO. Call it at least every PingInterval.
+// transmitData sends (or re-sends) a queued datagram on a path, stamping
+// the transmission's time, path and send order.
+func (c *Conn) transmitData(p *pending, path int, now int64) {
+	c.xmits++
+	p.xmit = c.xmits
+	p.lastSent = now
+	p.lastPath = path
+	c.stats.perPathData[path].Add(1)
+	c.transmit(path, Wire{Kind: KindData, Seq: p.seq, Payload: p.payload, Frame: p.frame})
+}
+
+// retransmit re-sends p on the next Up path in round-robin order, counting
+// a fail-over when that is not the path it was last sent on. It reports
+// false, leaving p marked sent for a later attempt, when no path is Up.
+func (c *Conn) retransmit(p *pending, now int64) bool {
+	path, up := c.pickPath()
+	if !up {
+		return false
+	}
+	if path != p.lastPath {
+		c.stats.failoverSends.Add(1)
+		c.met.failovers.Inc()
+	}
+	p.resent = true
+	c.stats.retransmits.Add(1)
+	c.met.retransmits.Inc()
+	c.transmitData(p, path, now)
+	return true
+}
+
+// Tick drives timers: per-path pings, the loss-detection deadline and
+// retransmission of datagrams older than the RTO. Call it at least every
+// PingInterval.
 func (c *Conn) Tick(now int64) {
 	for i, m := range c.monitors {
 		if now-c.lastPing[i] >= int64(c.cfg.PingInterval) {
@@ -292,42 +338,85 @@ func (c *Conn) Tick(now int64) {
 			c.transmit(i, Wire{Kind: KindPing, Ping: m.Tick(now)})
 		}
 	}
+	c.detectLoss(now)
 	for _, p := range c.queue {
-		if !p.sent || now-p.lastSent < int64(c.cfg.RTO) {
-			continue
+		if p.sent && now-p.lastSent >= int64(c.cfg.RTO) {
+			// Without an Up path it stays marked sent and is retried when
+			// a path comes back (Tick keeps firing).
+			c.retransmit(p, now)
 		}
-		path, up := c.pickPath()
-		if !up {
-			// Leave it marked sent; it will be retried when a path
-			// comes back (Tick keeps firing).
-			continue
-		}
-		if path != p.lastPath {
-			c.stats.failoverSends.Add(1)
-			c.met.failovers.Inc()
-		}
-		p.lastSent = now
-		p.lastPath = path
-		p.resent = true
-		c.stats.retransmits.Add(1)
-		c.stats.perPathData[path].Add(1)
-		c.met.retransmits.Inc()
-		c.transmit(path, Wire{Kind: KindData, Seq: p.seq, Payload: p.payload, Frame: p.frame})
 	}
 	if c.ackOwed {
-		c.flushAck(c.ackPath)
+		c.flushAck(c.ackPath, 0)
 	}
 	c.pump(now)
 }
 
+// observeRTT records a clean round-trip sample into the minimum that sizes
+// the reorder window.
+func (c *Conn) observeRTT(rtt int64) {
+	if rtt < 1 {
+		rtt = 1
+	}
+	if c.minRTT == 0 || rtt < c.minRTT {
+		c.minRTT = rtt
+	}
+}
+
+// noteDelivered records a gap ack's evidence: datagram seq, above the
+// cumulative point, has reached the receiver. Only never-retransmitted
+// datagrams count (Karn), so the evidence names exactly one transmission.
+func (c *Conn) noteDelivered(seq uint64, now int64) {
+	if seq < c.sendBase || seq-c.sendBase >= uint64(len(c.queue)) {
+		return // no evidence (0 from a peer without gap evidence), or stale
+	}
+	p := c.queue[seq-c.sendBase]
+	if !p.sent || p.resent {
+		return
+	}
+	rtt := now - p.lastSent
+	c.observeRTT(rtt)
+	if r := &c.rack[p.lastPath]; p.xmit > r.xmit {
+		*r = rackState{xmit: p.xmit, rtt: rtt}
+	}
+}
+
+// detectLoss retransmits sendBase once a datagram sent after it on the
+// same path has been delivered and a reorder window has passed beyond that
+// datagram's round trip: RACK's rule, sendBase.lastSent + rack.rtt +
+// window <= now, with the window half the minimum RTT. Evidence is per path
+// because the bundled paths queue independently — a datagram overtaking
+// another on a different path says nothing about loss. Within a path the
+// window absorbs jitter-induced reordering; a real socket path does not
+// reorder at all. The RTO stays the backstop for losses no later datagram
+// reveals (the tail of a burst, a dead path).
+func (c *Conn) detectLoss(now int64) {
+	if len(c.queue) == 0 {
+		return
+	}
+	p := c.queue[0]
+	if !p.sent {
+		return
+	}
+	r := c.rack[p.lastPath]
+	if r.xmit <= p.xmit || now < p.lastSent+r.rtt+c.minRTT/2 {
+		return
+	}
+	if c.retransmit(p, now) {
+		c.met.fastRetransmits.Inc()
+	}
+}
+
 // flushAck transmits the current cumulative acknowledgement and resets the
-// coalescing state.
-func (c *Conn) flushAck(path int) {
+// coalescing state. evidence, when non-zero, is the sequence number of an
+// arrival buffered beyond a gap; it rides in the ack's Seq field (zero
+// otherwise, which is also what peers without loss detection send).
+func (c *Conn) flushAck(path int, evidence uint64) {
 	c.unacked = 0
 	c.ackOwed = false
 	c.stats.acksSent.Add(1)
 	c.met.acksSent.Inc()
-	c.transmit(path, Wire{Kind: KindAck, Ack: c.recvNext - 1})
+	c.transmit(path, Wire{Kind: KindAck, Ack: c.recvNext - 1, Seq: evidence})
 }
 
 // OnWire processes a datagram received on path i. Data payloads (and any
@@ -343,6 +432,7 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 		c.pump(now)
 	case KindData:
 		fresh := false
+		hadGap := len(c.recvBuf) > 0
 		if w.Seq < c.recvNext {
 			c.stats.duplicates.Add(1)
 			c.met.duplicates.Inc()
@@ -374,20 +464,31 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 		}
 		// Ack immediately on anything unusual — duplicates (the sender
 		// retransmitted, so an earlier ack was lost), gaps (out-of-order
-		// buffering), and every ackEvery-th in-order arrival; coalesce the
-		// rest, with Tick as the flush backstop.
+		// buffering, whose acks carry the arrival as loss evidence), gap
+		// fills (the sender's loss detection is waiting on them), and every
+		// ackEvery-th in-order arrival; coalesce the rest, with Tick as the
+		// flush backstop.
 		c.unacked++
 		c.ackPath = path
-		if !fresh || len(c.recvBuf) > 0 || c.unacked >= ackEvery {
-			c.flushAck(path)
+		if !fresh || hadGap || len(c.recvBuf) > 0 || c.unacked >= ackEvery {
+			var evidence uint64
+			if w.Seq >= c.recvNext {
+				evidence = w.Seq
+			}
+			c.flushAck(path, evidence)
 		} else {
 			c.ackOwed = true
 			c.met.acksCoalesced.Inc()
 		}
 	case KindAck:
-		if w.Ack+1 <= c.sendBase {
-			return
-		}
+		c.onAck(w, now)
+	}
+}
+
+// onAck applies an acknowledgement: release the cumulatively acked prefix,
+// record any gap evidence, then run loss detection and refill the window.
+func (c *Conn) onAck(w Wire, now int64) {
+	if w.Ack >= c.sendBase {
 		newBase := w.Ack + 1
 		keep := c.queue[:0]
 		for _, p := range c.queue {
@@ -399,6 +500,7 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 			// sample; retransmitted datagrams are skipped, per Karn.
 			if p.sent && !p.resent {
 				c.met.rtt.Observe(now - p.lastSent)
+				c.observeRTT(now - p.lastSent)
 			}
 			// Acknowledged: drop the queue's frame reference so the pooled
 			// buffer can be reused once any in-flight copies drain, and
@@ -415,6 +517,8 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 		}
 		c.queue = keep
 		c.sendBase = newBase
-		c.pump(now)
 	}
+	c.noteDelivered(w.Seq, now)
+	c.detectLoss(now)
+	c.pump(now)
 }

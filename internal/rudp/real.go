@@ -3,7 +3,9 @@ package rudp
 import (
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"net/netip"
 	"strings"
 	"time"
 
@@ -82,7 +84,7 @@ type RealMesh struct {
 	socks []*net.UDPConn
 
 	peers    map[string]*realPeer
-	byAddr   map[string]*realPeer
+	byAddr   map[netip.AddrPort]*realPeer // unmapped source address to peer
 	handlers map[string]func(from string, payload []byte)
 	onPeer   func(name string, up bool)
 
@@ -96,6 +98,8 @@ type RealMesh struct {
 	shed       *telemetry.Counter
 	peersUp    *telemetry.Gauge
 	batchSize  *telemetry.Histogram
+	rcvDrops   *telemetry.Counter
+	rcvBuf     *telemetry.Gauge
 }
 
 // realPkt is one staged outgoing datagram with its resolved destination.
@@ -133,7 +137,7 @@ func NewRealMesh(loop *rt.Loop, cfg RealConfig) (*RealMesh, error) {
 		s:        loop.Scheduler(),
 		inc:      uint64(time.Now().UnixNano()),
 		peers:    make(map[string]*realPeer),
-		byAddr:   make(map[string]*realPeer),
+		byAddr:   make(map[netip.AddrPort]*realPeer),
 		handlers: make(map[string]func(string, []byte)),
 		done:     make(chan struct{}),
 
@@ -142,19 +146,26 @@ func NewRealMesh(loop *rt.Loop, cfg RealConfig) (*RealMesh, error) {
 		shed:       scope.Counter("rudp.mesh.sends_shed", "datagrams dropped at the per-peer backlog cap"),
 		peersUp:    scope.Gauge("rudp.mesh.peers_up", "peers with a handshaken conn and a live path"),
 		batchSize:  scope.Histogram("rudp.udp.batch_datagrams", "datagrams per coalesced same-path socket batch (sendmmsg)"),
+		rcvDrops:   scope.Counter("rudp.udp.rcvbuf_drops", "datagrams the kernel dropped because a path socket's receive buffer was full (SO_RXQ_OVFL)"),
+		rcvBuf:     scope.Gauge("rudp.udp.rcvbuf_bytes", "receive buffer the kernel granted a path socket, as it reports it"),
 	}
+	granted := 0
 	for _, addr := range cfg.Locals {
-		ua, err := net.ResolveUDPAddr("udp", addr)
+		sock, g, err := bindUDP(addr)
 		if err != nil {
 			m.closeSocks()
-			return nil, fmt.Errorf("rudp: resolving %s: %w", addr, err)
+			return nil, err
 		}
-		sock, err := net.ListenUDP("udp", ua)
-		if err != nil {
-			m.closeSocks()
-			return nil, fmt.Errorf("rudp: binding %s: %w", addr, err)
-		}
+		enableDropCount(sock)
 		m.socks = append(m.socks, sock)
+		if granted == 0 || g < granted {
+			granted = g
+		}
+	}
+	m.rcvBuf.Set(int64(granted))
+	if granted < sockBufBytes {
+		log.Printf("rudp: %s: kernel granted %d-byte UDP receive buffers, below the %d-byte target; "+
+			"expect drops under fan-in (raise net.core.rmem_max, or grant CAP_NET_ADMIN)", cfg.Name, granted, sockBufBytes)
 	}
 	for name, addrs := range cfg.Peers {
 		if name == cfg.Name {
@@ -246,16 +257,22 @@ func (m *RealMesh) addPeerLocked(name string, addrs []string) error {
 	}
 	for _, a := range p.addrs {
 		if a != nil {
-			delete(m.byAddr, a.String())
+			delete(m.byAddr, unmapped(a.AddrPort()))
 		}
 	}
 	p.addrs = resolved
 	for _, a := range resolved {
 		if a != nil {
-			m.byAddr[a.String()] = p
+			m.byAddr[unmapped(a.AddrPort())] = p
 		}
 	}
 	return nil
+}
+
+// unmapped is the byAddr key form of an address: IPv4 in its 4-byte form,
+// whether it came from a resolved peer address or a dual-stack socket.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // OnPeerChange installs the liveness callback, invoked on the loop whenever
@@ -397,7 +414,7 @@ func (m *RealMesh) sendHello(p *realPeer) {
 // onHello processes a handshake datagram: learn/refresh the peer's name and
 // addresses, reset the Conn pair when its incarnation changed, and echo
 // back until both sides agree on the epoch.
-func (m *RealMesh) onHello(path int, src *net.UDPAddr, w Wire) {
+func (m *RealMesh) onHello(path int, src netip.AddrPort, w Wire) {
 	name, addrsCSV, ok := SplitService(w.Payload)
 	if !ok || name == "" || name == m.cfg.Name {
 		return
@@ -413,7 +430,7 @@ func (m *RealMesh) onHello(path int, src *net.UDPAddr, w Wire) {
 			return
 		}
 		p = m.peers[name]
-	} else if p.addrs[path] == nil || p.addrs[path].String() != src.String() {
+	} else if p.addrs[path] == nil || unmapped(p.addrs[path].AddrPort()) != src {
 		// Known name, new address (restart with ephemeral ports): re-learn.
 		if addrs := strings.Split(string(addrsCSV), ","); len(addrs) == len(m.socks) {
 			m.addPeerLocked(name, addrs)
@@ -591,10 +608,19 @@ func (m *RealMesh) setUp(p *realPeer, up bool) {
 
 // readLoop receives on one path's socket, parses off-loop, and posts the
 // protocol work to the loop — the only goroutine that touches mesh state.
+// Each read also carries the socket's kernel drop count, whose growth feeds
+// rudp.udp.rcvbuf_drops.
 func (m *RealMesh) readLoop(path int) {
+	sock := m.socks[path]
+	oob := make([]byte, rxqOOBSize)
+	var drops uint32
 	for {
 		f := netbuf.NewFrame(maxDatagram)
-		sz, src, err := m.socks[path].ReadFromUDP(f.Payload())
+		sz, oobn, _, src, err := sock.ReadMsgUDPAddrPort(f.Payload(), oob)
+		if d, ok := rxqDrops(oob[:oobn]); ok && d != drops {
+			m.rcvDrops.Add(int64(d - drops))
+			drops = d
+		}
 		if err != nil {
 			f.Release()
 			if errors.Is(err, net.ErrClosed) {
@@ -613,6 +639,7 @@ func (m *RealMesh) readLoop(path int) {
 			continue
 		}
 		w.Frame = f
+		src = unmapped(src)
 		m.loop.Post(func() {
 			m.onDatagram(path, src, w)
 			f.Release()
@@ -620,7 +647,7 @@ func (m *RealMesh) readLoop(path int) {
 	}
 }
 
-func (m *RealMesh) onDatagram(path int, src *net.UDPAddr, w Wire) {
+func (m *RealMesh) onDatagram(path int, src netip.AddrPort, w Wire) {
 	if m.closed {
 		return
 	}
@@ -629,7 +656,7 @@ func (m *RealMesh) onDatagram(path int, src *net.UDPAddr, w Wire) {
 		m.armFlush()
 		return
 	}
-	p := m.byAddr[src.String()]
+	p := m.byAddr[src]
 	if p == nil || p.conn == nil || !p.ready() {
 		return // traffic from an unknown peer or a dead conn epoch
 	}

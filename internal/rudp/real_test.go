@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rain/internal/rt"
+	"rain/internal/telemetry"
 )
 
 // startMesh builds a loop+mesh bound to ephemeral loopback ports.
@@ -168,4 +169,103 @@ func TestRealMeshBacklogCap(t *testing.T) {
 			t.Errorf("backlog %d exceeds cap 8", got)
 		}
 	})
+}
+
+// fanInWindow is one dstore get stream's credit window in 32 KiB chunks:
+// the client's Window (4) plus one block piece.
+const fanInWindow = 5
+
+// Four senders each burst one credit window of 32 KiB datagrams into one
+// receiver at once — a get drawing on four holders. With path sockets sized
+// to the fan-in, every datagram arrives first time: no kernel drop, no
+// retransmission. A host whose caps keep the buffer below the burst skips,
+// naming the size it granted.
+func TestRealMeshFanIn(t *testing.T) {
+	const senders, size = 4, 32 << 10
+	regR := telemetry.NewRegistry()
+	lr := rt.New(1)
+	lr.Start()
+	defer lr.Stop()
+	r, err := NewRealMesh(lr, RealConfig{Name: "r", Locals: []string{"127.0.0.1:0"}, Conn: Config{Telemetry: regR}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// The kernel charges each datagram's truesize (a little over its
+	// payload) against the reported limit; ask for twice the burst.
+	burst := senders * fanInWindow * size
+	if granted := r.rcvBuf.Value(); granted < int64(2*burst) {
+		t.Skipf("host granted a %d-byte receive buffer, below the %d bytes a %d×%d×32 KiB fan-in needs (net.core.rmem_max caps it)",
+			granted, 2*burst, senders, fanInWindow)
+	}
+
+	got := make(chan string, senders*(fanInWindow+1))
+	lr.Call(func() {
+		r.Handle("r", "t", func(from string, payload []byte) { got <- from })
+	})
+	recv := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("received %d of %d datagrams", i, n)
+			}
+		}
+	}
+
+	regS := telemetry.NewRegistry()
+	type sender struct {
+		loop *rt.Loop
+		mesh *RealMesh
+	}
+	var ss []sender
+	for i := 0; i < senders; i++ {
+		name := fmt.Sprintf("s%d", i)
+		l := rt.New(int64(i + 2))
+		l.Start()
+		defer l.Stop()
+		m, err := NewRealMesh(l, RealConfig{Name: name, Locals: []string{"127.0.0.1:0"},
+			Peers: map[string][]string{"r": r.LocalAddrs()}, Conn: Config{Telemetry: regS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		ss = append(ss, sender{l, m})
+		// Handshake with one small datagram so the burst leaves at once.
+		l.Post(func() { m.SendService(name, "r", "t", []byte("hi")) })
+	}
+	recv(senders)
+
+	payload := make([]byte, size)
+	start := make(chan struct{})
+	for i, s := range ss {
+		name, s := fmt.Sprintf("s%d", i), s
+		go func() {
+			<-start
+			s.loop.Post(func() {
+				for j := 0; j < fanInWindow; j++ {
+					s.mesh.SendService(name, "r", "t", payload)
+				}
+			})
+		}()
+	}
+	close(start)
+	recv(senders * fanInWindow)
+
+	if n := counterValue(regS, "rudp.conn.retransmits"); n != 0 {
+		t.Errorf("senders retransmitted %d datagrams", n)
+	}
+	if n := counterValue(regR, "rudp.udp.rcvbuf_drops"); n != 0 {
+		t.Errorf("receiver's kernel dropped %d datagrams", n)
+	}
+}
+
+func counterValue(reg *telemetry.Registry, name string) uint64 {
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == name && len(f.Series) > 0 {
+			return f.Series[0].Counter
+		}
+	}
+	return 0
 }

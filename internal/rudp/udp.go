@@ -15,6 +15,41 @@ import (
 // maximum).
 const maxDatagram = 64 * 1024
 
+// sockBufBytes is the kernel receive and send buffer every path socket
+// asks for. The receive side has to absorb the worst burst the dstore
+// credit windows let converge on one node before its read loop drains it:
+//
+//   - a get keeps Window + one block piece = 5 chunks of 32 KiB (160 KiB)
+//     in flight from each holder it reads, and a hedged or degraded get
+//     reads from up to n-1 = 5 remote holders of B-Code(6,4): 800 KiB;
+//   - a put keeps Window = 4 chunks (128 KiB) in flight to each holder;
+//   - a node runs several operations at once (two gets and two puts is
+//     1.9 MiB), and with one bundled path down all of it lands on the
+//     surviving path's socket;
+//   - the kernel charges each datagram's buffer overhead (truesize, about
+//     35 KiB for a 32 KiB datagram on loopback) against the limit.
+//
+// That is ~2 MiB of truesize for an ordinary mix; 4 MiB (which Linux
+// doubles to an 8 MiB limit) leaves room for hedges and retransmissions.
+// The kernel default of 208 KiB holds about six such datagrams: a 4 MiB
+// bulk GET overflowed it thousands of times per run, each drop stalling its
+// stream until recovered.
+const sockBufBytes = 4 << 20
+
+// bindUDP binds one path socket with sockBufBytes buffers and returns the
+// receive buffer size the kernel granted.
+func bindUDP(addr string) (*net.UDPConn, int, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("rudp: resolving %s: %w", addr, err)
+	}
+	sock, err := net.ListenUDP("udp", ua)
+	if err != nil {
+		return nil, 0, fmt.Errorf("rudp: binding %s: %w", addr, err)
+	}
+	return sock, sizeSocketBuffers(sock, sockBufBytes), nil
+}
+
 // UDPNode drives a Conn over real UDP sockets, one socket per bundled path —
 // the deployment the paper ran on its testbed. Like the original RUDP it
 // keeps every piece of protocol state in user space: the kernel is used only
@@ -70,15 +105,10 @@ func NewUDPNode(locals []string, cfg Config, deliver func([]byte)) (*UDPNode, er
 	n.batchSize = n.cfg.registry().Root().Histogram(
 		"rudp.udp.batch_datagrams", "datagrams per coalesced same-path socket batch (sendmmsg)")
 	for _, addr := range locals {
-		ua, err := net.ResolveUDPAddr("udp", addr)
+		sock, _, err := bindUDP(addr)
 		if err != nil {
 			n.closeSocks()
-			return nil, fmt.Errorf("rudp: resolving %s: %w", addr, err)
-		}
-		sock, err := net.ListenUDP("udp", ua)
-		if err != nil {
-			n.closeSocks()
-			return nil, fmt.Errorf("rudp: binding %s: %w", addr, err)
+			return nil, err
 		}
 		n.socks = append(n.socks, sock)
 	}

@@ -33,7 +33,8 @@ type Kind uint8
 const (
 	// KindData carries one application datagram.
 	KindData Kind = iota + 1
-	// KindAck carries a cumulative acknowledgement.
+	// KindAck carries a cumulative acknowledgement and, in Seq, any
+	// delivery evidence for loss detection.
 	KindAck
 	// KindPing carries the link-state monitoring protocol.
 	KindPing
@@ -64,7 +65,7 @@ func (k Kind) String() string {
 // selected by Kind.
 type Wire struct {
 	Kind    Kind
-	Seq     uint64         // KindData: sequence number (1-based)
+	Seq     uint64         // KindData: sequence number (1-based); KindAck: gap evidence, 0 = none
 	Ack     uint64         // KindAck: highest in-order sequence received
 	Ping    linkstate.Ping // KindPing
 	Payload []byte         // KindData

@@ -86,12 +86,15 @@ type Timer struct {
 	seq uint64
 }
 
-// Stop cancels the timer; the callback will not run. Stopping an already
-// fired or stopped timer is a no-op (the event slot may have been recycled
-// for a later scheduling, which the seq check detects).
+// Stop cancels the timer; the callback will not run, and is released at
+// once rather than at its due time, so whatever it captured can be
+// collected while the cancelled event waits in the queue. Stopping an
+// already fired or stopped timer is a no-op (the event slot may have been
+// recycled for a later scheduling, which the seq check detects).
 func (t Timer) Stop() {
 	if t.e != nil && t.e.seq == t.seq {
 		t.e.cancelled = true
+		t.e.fn = nil
 	}
 }
 
